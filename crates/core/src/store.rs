@@ -227,6 +227,14 @@ struct FpTable {
     /// log2 of the number of bucket groups (slot count = groups × GROUP).
     log2_groups: u32,
     len: usize,
+    /// Groups written since the last clear, so [`clear`](Self::clear)
+    /// can zero only their key lines. Nothing deletes single entries
+    /// and `insert` takes a group's first empty slot, so a group's
+    /// occupied slots are always a prefix: an insert into slot 0 is the
+    /// first write to an empty group, and that is when the group is
+    /// recorded. Recording stops at [`dirty_cap`](Self::dirty_cap)
+    /// entries; a full record means "assume everything is written".
+    dirty: Vec<usize>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -241,11 +249,12 @@ impl FpTable {
     /// 128 initial groups = 1024 slots, the previous flat-table size.
     const INITIAL_LOG2_GROUPS: u32 = 7;
     /// Upper clamp on the budget-derived initial size: 2^17 groups =
-    /// 1 Mi slots ≈ 20 MiB of table. The default 32 MiB payload budget
-    /// at `sample_bits = 4` implies ~2 M steady-state entries, so the
-    /// clamp still under-sizes the true steady state (growth handles
-    /// the rest); it bounds the eager allocation a short-lived
-    /// encoder — a sim node, a test — pays at construction.
+    /// 1 Mi slots × (8 B key + 12 B value) = 20 MiB of table. The
+    /// default 32 MiB payload budget at `sample_bits = 4` implies ~2 M
+    /// steady-state entries, so the clamp still under-sizes the true
+    /// steady state (growth handles the rest); it bounds the eager
+    /// allocation a short-lived encoder — a sim node, a test — pays at
+    /// construction.
     const MAX_INITIAL_LOG2_GROUPS: u32 = 17;
     /// Occupancy tag on key words (bit 63; fingerprints fit in 53 bits).
     const TAG: u64 = 1 << 63;
@@ -267,8 +276,9 @@ impl FpTable {
     /// hot path — each one re-inserts every live key, and the cumulative
     /// rehash work (~1.5 re-inserts per net insert) was the single
     /// largest per-candidate cost in the batched profile. Clamped so
-    /// small sim configs stay small and the default 32 MiB budget costs
-    /// at most ~5 MiB of table per cache.
+    /// small sim configs stay small: the default 32 MiB budget hits the
+    /// 2^17-group clamp, 20 MiB of table per cache (8 MiB of keys and
+    /// 12 MiB of values).
     fn for_budget(byte_budget: usize, sample_bits: u32) -> Self {
         let entries = byte_budget >> sample_bits.min(63);
         // Groups sized for a 3/4 load factor at `entries`.
@@ -293,7 +303,18 @@ impl FpTable {
             vals: vec![FpValue::default(); slots],
             log2_groups,
             len: 0,
+            dirty: Vec::new(),
         }
+    }
+
+    /// Most groups [`dirty`](Self::dirty) records: one in eight. Past
+    /// that the epoch has written a large share of the table, so
+    /// `clear` falls back to one sequential pass over the whole key
+    /// array; the bound also keeps the record of a table that never
+    /// flushes small (one word per eight groups).
+    #[inline]
+    fn dirty_cap(&self) -> usize {
+        (1usize << self.log2_groups) / 8
     }
 
     /// Home bucket group of a fingerprint. The Fibonacci multiply mixes
@@ -335,6 +356,9 @@ impl FpTable {
             for i in base..base + Self::GROUP {
                 let k = self.keys[i];
                 if k == 0 {
+                    if i == base && self.dirty.len() < self.dirty_cap() {
+                        self.dirty.push(g);
+                    }
                     self.keys[i] = key;
                     self.vals[i] = FpValue { slot, offset };
                     self.len += 1;
@@ -375,11 +399,16 @@ impl FpTable {
         let old_vals = std::mem::replace(&mut self.vals, vec![FpValue::default(); slots]);
         self.log2_groups += 1;
         self.len = 0;
-        // The rehash reads the old arrays sequentially (hardware
-        // prefetch handles those) but writes the new, larger-than-LLC
-        // table at random groups; issuing each key's target-group
-        // prefetch a few iterations early hides most of those misses —
-        // the rehash is the bulk of the amortized insert cost.
+        // The re-inserts below rebuild the record for the new table.
+        self.dirty.clear();
+        // The rehash reads the old arrays sequentially. Because the
+        // group index is the fingerprint's high bits, it writes the new
+        // table nearly in order too: old group g splits into new groups
+        // 2g and 2g + 1, and only keys that spilled past their home
+        // group (or wrapped around the end) land out of order. Issuing
+        // each key's target-group prefetch a few iterations early
+        // covers those — the rehash is the bulk of the amortized
+        // insert cost.
         const AHEAD: usize = 16;
         for i in 0..old_keys.len() {
             if let Some(&k) = old_keys.get(i + AHEAD) {
@@ -399,9 +428,20 @@ impl FpTable {
     /// pre-sized for its steady state (see [`for_budget`]
     /// (Self::for_budget)), and a flush-heavy policy would otherwise
     /// re-pay the growth rehashes after every flush. Only the key words
-    /// gate occupancy, so the value array need not be touched.
+    /// gate occupancy, so the value array need not be touched. The cost
+    /// follows the groups written since the last clear, not the table
+    /// size: only the recorded groups' key lines are zeroed, unless the
+    /// record is full. Either way the key array ends all zero.
     fn clear(&mut self) {
-        self.keys.fill(0);
+        if self.dirty.len() < self.dirty_cap() {
+            for &g in &self.dirty {
+                let base = g * Self::GROUP;
+                self.keys[base..base + Self::GROUP].fill(0);
+            }
+        } else {
+            self.keys.fill(0);
+        }
+        self.dirty.clear();
         self.len = 0;
     }
 }
@@ -1312,6 +1352,103 @@ mod tests {
         let (s, off) = t.get(fp0).unwrap();
         assert_eq!((s.index, s.gen, off), (99, 3, 77));
         assert!(t.get(0xDEAD_BEEF_CAFE).is_none());
+    }
+
+    /// Occupied slots as `(key, slot, offset)`, for comparing tables.
+    fn fp_occupied(t: &FpTable) -> Vec<(u64, SlotRef, u16)> {
+        t.keys
+            .iter()
+            .zip(&t.vals)
+            .filter(|(&k, _)| k != 0)
+            .map(|(&k, v)| (k, v.slot, v.offset))
+            .collect()
+    }
+
+    #[test]
+    fn fp_table_clear_matches_model_and_fresh_table() {
+        // Random insert/get/clear phases against a HashMap model. Phase
+        // lengths cycle through three sizes so every clear path runs:
+        // a few inserts (partial clear of the recorded groups), a few
+        // hundred (record full: whole-array fallback), and a few
+        // thousand (the table grows between clears). After each clear
+        // the table must be empty down to the last key word and then
+        // evolve exactly like a fresh table of the same size.
+        let mut state = 0x5EED_F1A5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mask = (1u64 << 53) - 1;
+        let mut t = FpTable::new();
+        let mut fresh = FpTable::new();
+        let mut model: HashMap<u64, (SlotRef, u16)> = HashMap::new();
+        let (mut partial, mut fallback, mut grown) = (0, 0, 0);
+        for phase in 0..45u64 {
+            let n = match phase % 3 {
+                0 => next() % 12,
+                1 => 40 + next() % 300,
+                _ => 800 + next() % 1500,
+            };
+            let log2_before = t.log2_groups;
+            let mut phase_keys = Vec::new();
+            for _ in 0..n {
+                // One insert in four overwrites a key of this phase; the
+                // zero fingerprint is a legal key too.
+                let fp = match next() % 8 {
+                    0 | 1 if !phase_keys.is_empty() => {
+                        phase_keys[(next() % phase_keys.len() as u64) as usize]
+                    }
+                    2 if phase % 5 == 0 => 0,
+                    _ => next() & mask,
+                };
+                phase_keys.push(fp);
+                let slot = SlotRef {
+                    index: next() as u32,
+                    gen: next() as u32,
+                };
+                let offset = next() as u16;
+                let existed = model.insert(fp, (slot, offset)).is_some();
+                assert_eq!(t.insert(fp, slot, offset), existed, "fp {fp:#x}");
+                assert_eq!(fresh.insert(fp, slot, offset), existed, "fp {fp:#x}");
+                let probe = next() & mask;
+                assert_eq!(t.get(probe), model.get(&probe).copied());
+            }
+            assert_eq!(t.len, model.len());
+            for (&fp, &v) in &model {
+                assert_eq!(t.get(fp), Some(v), "fp {fp:#x}");
+            }
+            // Same inserts since the last clear, same size: identical
+            // key arrays and identical values wherever a key is set.
+            // (Values under empty keys are never read; neither clear
+            // path touches them.)
+            assert_eq!(t.log2_groups, fresh.log2_groups);
+            assert!(t.keys == fresh.keys, "phase {phase}: key arrays differ");
+            assert_eq!(fp_occupied(&t), fp_occupied(&fresh), "phase {phase}");
+
+            if t.log2_groups > log2_before {
+                grown += 1;
+            }
+            if t.dirty.len() < t.dirty_cap() {
+                partial += 1;
+            } else {
+                fallback += 1;
+            }
+            t.clear();
+            model.clear();
+            assert!(t.keys.iter().all(|&k| k == 0), "phase {phase}: stale keys");
+            assert_eq!(t.len, 0);
+            assert!(t.dirty.is_empty());
+            for &fp in &phase_keys {
+                assert!(t.get(fp).is_none(), "fp {fp:#x} survived the clear");
+            }
+            fresh = FpTable::with_log2_groups(t.log2_groups);
+        }
+        assert!(partial > 0, "no partial clear ran");
+        assert!(fallback > 0, "no whole-array clear ran");
+        assert!(grown > 0, "the table never grew between clears");
     }
 
     proptest::proptest! {
