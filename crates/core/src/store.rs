@@ -29,6 +29,7 @@
 //! so both tables mix keys with a Fibonacci multiply and take the *high*
 //! bits of the product for the bucket index.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
@@ -243,6 +244,21 @@ struct FpValue {
     offset: u16,
 }
 
+/// A dropped [`FpTable`]'s arrays, kept for the next table of the same
+/// size built on the same thread. The key array is all zero (the table
+/// was cleared before it was put here); the value array holds stale
+/// values, which are never read under an empty key.
+struct SpareTable {
+    log2_groups: u32,
+    keys: Vec<u64>,
+    vals: Vec<FpValue>,
+}
+
+thread_local! {
+    /// This thread's spare tables, at most [`FpTable::MAX_SPARES`].
+    static SPARE_TABLES: RefCell<Vec<SpareTable>> = const { RefCell::new(Vec::new()) };
+}
+
 impl FpTable {
     /// Slots per bucket group: 8 × 8-byte keys = one 64-byte cache line.
     const GROUP: usize = 8;
@@ -258,6 +274,11 @@ impl FpTable {
     const MAX_INITIAL_LOG2_GROUPS: u32 = 17;
     /// Occupancy tag on key words (bit 63; fingerprints fit in 53 bits).
     const TAG: u64 = 1 << 63;
+    /// Most dropped tables one thread keeps for reuse: one encoder and
+    /// one decoder cache, what every simulated transfer builds. A larger
+    /// stock holds memory that later allocations of other kinds cannot
+    /// use; two spares at the clamp are 40 MiB per thread.
+    const MAX_SPARES: usize = 2;
 
     /// Minimal table at the un-budgeted initial size (tests exercise
     /// growth from here; production tables start from
@@ -278,7 +299,9 @@ impl FpTable {
     /// largest per-candidate cost in the batched profile. Clamped so
     /// small sim configs stay small: the default 32 MiB budget hits the
     /// 2^17-group clamp, 20 MiB of table per cache (8 MiB of keys and
-    /// 12 MiB of values).
+    /// 12 MiB of values). Only the first table of a size on a thread
+    /// writes all of that; later ones reuse a dropped table's arrays
+    /// (see [`with_log2_groups`](Self::with_log2_groups)).
     fn for_budget(byte_budget: usize, sample_bits: u32) -> Self {
         let entries = byte_budget >> sample_bits.min(63);
         // Groups sized for a 3/4 load factor at `entries`.
@@ -288,19 +311,38 @@ impl FpTable {
         Self::with_log2_groups(log2)
     }
 
+    /// Empty table of `2^log2_groups` groups. A spare of exactly this
+    /// size dropped earlier on this thread is reused: its key array is
+    /// already zero and values under empty keys are never read, so it
+    /// behaves exactly like a fresh table and construction writes
+    /// nothing. Otherwise both arrays are allocated and written here.
     #[allow(clippy::slow_vector_initialization)] // the "slow" path is the point: see below
     fn with_log2_groups(log2_groups: u32) -> Self {
-        let slots = (1usize << log2_groups) * Self::GROUP;
-        // Build the key array with an explicit resize (a real memset)
-        // rather than `vec![0; n]`: the latter takes the zeroed-alloc
-        // fast path, whose pages are mapped lazily and would be
-        // first-touch-faulted from inside the probe hot loop instead of
-        // here at construction.
-        let mut keys = Vec::with_capacity(slots);
-        keys.resize(slots, 0);
+        let spare = SPARE_TABLES
+            .try_with(|spares| {
+                let mut spares = spares.borrow_mut();
+                let i = spares.iter().position(|t| t.log2_groups == log2_groups)?;
+                Some(spares.swap_remove(i))
+            })
+            .ok()
+            .flatten();
+        let (keys, vals) = match spare {
+            Some(t) => (t.keys, t.vals),
+            None => {
+                let slots = (1usize << log2_groups) * Self::GROUP;
+                // Build the key array with an explicit resize (a real
+                // memset) rather than `vec![0; n]`: the latter takes the
+                // zeroed-alloc fast path, whose pages are mapped lazily
+                // and would be first-touch-faulted from inside the probe
+                // hot loop instead of here at construction.
+                let mut keys = Vec::with_capacity(slots);
+                keys.resize(slots, 0);
+                (keys, vec![FpValue::default(); slots])
+            }
+        };
         FpTable {
             keys,
-            vals: vec![FpValue::default(); slots],
+            vals,
             log2_groups,
             len: 0,
             dirty: Vec::new(),
@@ -443,6 +485,30 @@ impl FpTable {
         }
         self.dirty.clear();
         self.len = 0;
+    }
+}
+
+impl Drop for FpTable {
+    /// Clear the table and keep its arrays as one of this thread's
+    /// spares, if there is room. A table grown past the largest size
+    /// [`for_budget`](Self::for_budget) asks for could never be handed
+    /// out again, so it is freed. So is every table dropped while the
+    /// thread exits, once its spares are gone.
+    fn drop(&mut self) {
+        if self.log2_groups > Self::MAX_INITIAL_LOG2_GROUPS {
+            return;
+        }
+        let _ = SPARE_TABLES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < Self::MAX_SPARES {
+                self.clear();
+                spares.push(SpareTable {
+                    log2_groups: self.log2_groups,
+                    keys: std::mem::take(&mut self.keys),
+                    vals: std::mem::take(&mut self.vals),
+                });
+            }
+        });
     }
 }
 
@@ -1449,6 +1515,110 @@ mod tests {
         assert!(partial > 0, "no partial clear ran");
         assert!(fallback > 0, "no whole-array clear ran");
         assert!(grown > 0, "the table never grew between clears");
+    }
+
+    /// Runs `f` on a new thread, whose stock of spare tables starts
+    /// empty whatever earlier tests left on the calling thread.
+    fn on_new_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().expect("test thread panicked"))
+    }
+
+    fn spare_sizes() -> Vec<u32> {
+        SPARE_TABLES.with(|s| s.borrow().iter().map(|t| t.log2_groups).collect())
+    }
+
+    #[test]
+    fn fp_table_recycles_dropped_tables_on_the_same_thread() {
+        // 1024 groups: the dirty record holds 128 of them.
+        const LOG2: u32 = 10;
+        let ops = |n: u64, salt: u64| -> Vec<(u64, SlotRef, u16)> {
+            (0..n)
+                .map(|i| {
+                    let fp = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                    let slot = SlotRef {
+                        index: i as u32,
+                        gen: salt as u32,
+                    };
+                    (fp, slot, i as u16)
+                })
+                .collect()
+        };
+        let apply = |t: &mut FpTable, ops: &[(u64, SlotRef, u16)]| {
+            for &(fp, slot, offset) in ops {
+                t.insert(fp, slot, offset);
+            }
+        };
+        on_new_thread(|| {
+            // 600 random inserts touch ~450 groups (record full: the
+            // drop clears with one fill); 20 touch at most 20 (partial).
+            for (n, full) in [(600, true), (20, false)] {
+                let mut t = FpTable::with_log2_groups(LOG2);
+                apply(&mut t, &ops(n, 1));
+                assert_eq!(t.dirty.len() == t.dirty_cap(), full, "n = {n}");
+                let keys = t.keys.as_ptr();
+                drop(t);
+                assert_eq!(spare_sizes(), [LOG2]);
+
+                let mut r = FpTable::with_log2_groups(LOG2);
+                assert_eq!(r.keys.as_ptr(), keys, "n = {n}: allocation not reused");
+                assert!(spare_sizes().is_empty());
+                assert!(r.keys.iter().all(|&k| k == 0), "n = {n}: stale keys");
+                assert_eq!(r.len, 0);
+                assert!(r.dirty.is_empty());
+                // Different inserts from the first table's, so a stale
+                // key would also show as a difference here.
+                let second = ops(n, 2);
+                apply(&mut r, &second);
+                let (fresh_keys, fresh_occupied) = on_new_thread(|| {
+                    let mut f = FpTable::with_log2_groups(LOG2);
+                    apply(&mut f, &second);
+                    (f.keys.clone(), fp_occupied(&f))
+                });
+                assert!(r.keys == fresh_keys, "n = {n}: key arrays differ");
+                assert_eq!(fp_occupied(&r), fresh_occupied, "n = {n}");
+            }
+            // The loop's last table is now the only spare. A table of
+            // another size must not take it.
+            assert_eq!(spare_sizes(), [LOG2]);
+            let other = FpTable::with_log2_groups(LOG2 + 1);
+            assert_eq!(other.keys.len(), 2 * (1 << LOG2) * FpTable::GROUP);
+            assert_eq!(spare_sizes(), [LOG2]);
+            drop(other);
+            assert_eq!(spare_sizes(), [LOG2, LOG2 + 1]);
+            // The stock is capped: further drops free their tables.
+            let tables: Vec<FpTable> = (0..4).map(|_| FpTable::with_log2_groups(LOG2)).collect();
+            assert_eq!(spare_sizes(), [LOG2 + 1]);
+            drop(tables);
+            assert_eq!(spare_sizes().len(), FpTable::MAX_SPARES);
+        });
+    }
+
+    #[test]
+    fn fp_table_drop_during_thread_exit_does_not_panic() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static SPARES_GONE: AtomicBool = AtomicBool::new(false);
+        /// Drops its table from a thread-local destructor, after the
+        /// spare stock (registered later, destroyed first) is gone.
+        struct Holder(Option<FpTable>);
+        impl Drop for Holder {
+            fn drop(&mut self) {
+                SPARES_GONE.store(SPARE_TABLES.try_with(|_| ()).is_err(), Ordering::SeqCst);
+                self.0.take();
+            }
+        }
+        thread_local! {
+            static HOLDER: RefCell<Holder> = const { RefCell::new(Holder(None)) };
+        }
+        on_new_thread(|| {
+            HOLDER.with(|_| ());
+            drop(FpTable::with_log2_groups(FpTable::INITIAL_LOG2_GROUPS));
+            let t = FpTable::with_log2_groups(FpTable::INITIAL_LOG2_GROUPS);
+            HOLDER.with(|h| h.borrow_mut().0 = Some(t));
+        });
+        assert!(
+            SPARES_GONE.load(Ordering::SeqCst),
+            "the table was dropped before the spare stock was destroyed"
+        );
     }
 
     proptest::proptest! {
