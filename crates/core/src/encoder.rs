@@ -427,7 +427,7 @@ impl Encoder {
         // modes the sampled fingerprints were collected during the scan,
         // so nothing is fingerprinted a second time; the two-pass
         // baseline (and the policy-suppressed path, which skips the
-        // scan) re-fingerprints via the indexing loop.
+        // scan) fingerprints the payload in `Cache::index_payload`.
         self.core
             .cache
             .insert_with_id(id, payload.clone(), meta.flow, meta.seq);

@@ -47,6 +47,8 @@
 //! mutated during a scan, so the phase split cannot change any lookup,
 //! and the emitted tokens are byte-identical to both other modes.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
 
 use bytecache_rabin::sampler::Sampler;
@@ -179,6 +181,40 @@ pub(crate) fn common_suffix(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
+thread_local! {
+    /// The last fingerprinter built on this thread, with the
+    /// `(polynomial_seed, window)` it was built from.
+    static LAST_FINGERPRINTER: RefCell<Option<(u64, usize, Fingerprinter)>> =
+        const { RefCell::new(None) };
+}
+
+/// A fingerprinter for `(polynomial_seed, window)`. Deriving the modulus
+/// (an irreducibility search) and its two tables costs ~0.3 ms, more
+/// than the rest of a cache's construction, and every simulated
+/// transfer builds two caches from the same configuration. So the last
+/// one built on this thread is kept, and a request with the same seed
+/// and window gets a copy of it (two 2-KiB tables) instead. The tables
+/// are a pure function of the seed and window, so a copy is exactly
+/// what a fresh build would return.
+fn fingerprinter_for(polynomial_seed: u64, window: usize) -> Fingerprinter {
+    let build = || Fingerprinter::new(Polynomial::generate(polynomial_seed), window);
+    LAST_FINGERPRINTER
+        .try_with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some((seed, w, engine)) if *seed == polynomial_seed && *w == window => {
+                    engine.clone()
+                }
+                _ => {
+                    let engine = build();
+                    *last = Some((polynomial_seed, window, engine.clone()));
+                    engine
+                }
+            }
+        })
+        .unwrap_or_else(|_| build())
+}
+
 /// Shared DRE state: configuration, fingerprinting engine, sampler, and
 /// the packet cache. One per encoder, one per decoder — and when the
 /// engine is sharded, one per shard per side.
@@ -192,7 +228,7 @@ pub(crate) struct EngineCore {
 impl EngineCore {
     /// How many candidates ahead the batched probe loop pulls
     /// fingerprint-table lines. Eight probes in flight (~one sampled
-    /// window every 2^sample_bits ≈ 32 bytes at the default) is deep
+    /// window every 2^sample_bits ≈ 16 bytes at the default) is deep
     /// enough to cover a main-memory miss (~100 ns ≈ 200+ payload
     /// bytes of phase-B work) without evicting useful lines.
     const PREFETCH_AHEAD: usize = 8;
@@ -213,8 +249,7 @@ impl EngineCore {
     /// [`DreConfig::validate`]).
     pub(crate) fn new(config: DreConfig) -> Self {
         config.validate();
-        let engine =
-            Fingerprinter::new(Polynomial::generate(config.polynomial_seed), config.window);
+        let engine = fingerprinter_for(config.polynomial_seed, config.window);
         let sampler = Sampler::new(config.sample_bits);
         let cache = crate::store::Cache::new(&config);
         EngineCore {
@@ -630,6 +665,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fingerprinters_are_reused_only_for_the_same_seed_and_window() {
+        use crate::{Decoder, Encoder, PacketMeta, PolicyKind};
+        use bytecache_packet::{FlowId, SeqNum};
+        use std::net::Ipv4Addr;
+
+        let flow = FlowId {
+            src: Ipv4Addr::new(10, 0, 0, 1),
+            src_port: 80,
+            dst: Ipv4Addr::new(10, 0, 0, 2),
+            dst_port: 4000,
+        };
+        // Four distinct blocks, each sent twice, so the second copies
+        // encode as matches against the first.
+        let blocks: Vec<Bytes> = (0..4u64)
+            .map(|b| {
+                (0..1000u64)
+                    .map(|i| ((i + 1000 * b).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+                    .collect::<Vec<u8>>()
+                    .into()
+            })
+            .collect();
+        let sample: &[u8] = &blocks[0][..300];
+        // One new thread, so the first build is a miss whatever earlier
+        // tests left behind. Seeds and windows alternate and repeat.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (seed, window) in [
+                    (0, 16),
+                    (7, 16),
+                    (7, 16),
+                    (0, 16),
+                    (0, 32),
+                    (7, 32),
+                    (0, 16),
+                ] {
+                    let config = DreConfig {
+                        polynomial_seed: seed,
+                        window,
+                        ..DreConfig::default()
+                    };
+                    let core = EngineCore::new(config.clone());
+                    let fresh = Fingerprinter::new(Polynomial::generate(seed), window);
+                    assert_eq!(core.engine.polynomial(), fresh.polynomial(), "seed {seed}");
+                    assert_eq!(core.engine.window_size(), window, "seed {seed}");
+                    assert!(
+                        core.engine.windows(sample).eq(fresh.windows(sample)),
+                        "seed {seed}, window {window}: fingerprints differ from a fresh engine"
+                    );
+                    let mut enc = Encoder::new(config.clone(), PolicyKind::Naive.build());
+                    let mut dec = Decoder::new(config);
+                    let mut seq = 1u32;
+                    for payload in blocks.iter().chain(&blocks) {
+                        let meta = PacketMeta {
+                            flow,
+                            seq: SeqNum::new(seq),
+                            payload_len: payload.len(),
+                            flow_index: 0,
+                        };
+                        seq += payload.len() as u32;
+                        let wire = enc.encode(&meta, payload).wire;
+                        let (decoded, _) = dec.decode(&wire, &meta);
+                        assert_eq!(&decoded.expect("decodes"), payload, "seed {seed}");
+                    }
+                    assert!(enc.stats().matches > 0, "seed {seed}: nothing matched");
+                }
+            });
+        });
     }
 
     #[test]

@@ -36,7 +36,7 @@ use bytes::Bytes;
 
 use bytecache_packet::{FlowId, SeqNum};
 use bytecache_rabin::sampler::Sampler;
-use bytecache_rabin::Fingerprinter;
+use bytecache_rabin::{Fingerprinter, LaneScratch};
 use bytecache_telemetry::{Event, EventKind, Recorder};
 
 use crate::config::DreConfig;
@@ -216,7 +216,10 @@ struct SlotRef {
 /// them misses into a table far larger than L2 — so the probe path's
 /// cache footprint is what bounds single-shard encode throughput, and
 /// [`FpTable::prefetch`] lets the batched scan pull a candidate's key
-/// line while earlier probes resolve.
+/// line while earlier probes resolve. A table probes only a cache-sized
+/// prefix of its arrays until that prefix fills (see
+/// [`FpTable::spread`]), so a cache that indexes a few thousand
+/// fingerprints never touches the rest.
 #[derive(Debug)]
 struct FpTable {
     /// `fp | TAG` for occupied slots, 0 for empty ones. Fingerprints
@@ -225,8 +228,15 @@ struct FpTable {
     /// still distinguishable from an empty slot.
     keys: Vec<u64>,
     vals: Vec<FpValue>,
-    /// log2 of the number of bucket groups (slot count = groups × GROUP).
+    /// log2 of the number of bucket groups in use: the *active* region,
+    /// the first `2^log2_groups × GROUP` slots of the arrays. Every
+    /// probe, the load rule and the dirty record follow this size, and
+    /// every key word past it is zero.
     log2_groups: u32,
+    /// log2 of the number of bucket groups the arrays hold. New and
+    /// cleared tables use a cache-sized prefix of it (see
+    /// [`PREFIX_LOG2_GROUPS`](Self::PREFIX_LOG2_GROUPS)).
+    log2_capacity: u32,
     len: usize,
     /// Groups written since the last clear, so [`clear`](Self::clear)
     /// can zero only their key lines. Nothing deletes single entries
@@ -249,7 +259,7 @@ struct FpValue {
 /// was cleared before it was put here); the value array holds stale
 /// values, which are never read under an empty key.
 struct SpareTable {
-    log2_groups: u32,
+    log2_capacity: u32,
     keys: Vec<u64>,
     vals: Vec<FpValue>,
 }
@@ -270,8 +280,17 @@ impl FpTable {
     /// steady-state entries, so the clamp still under-sizes the true
     /// steady state (growth handles the rest); it bounds the eager
     /// allocation a short-lived encoder — a sim node, a test — pays at
-    /// construction.
+    /// the first construction on its thread. It does not bound what
+    /// such an encoder probes: that is the
+    /// [`PREFIX_LOG2_GROUPS`](Self::PREFIX_LOG2_GROUPS) prefix until
+    /// the table holds ~24.6 k keys.
     const MAX_INITIAL_LOG2_GROUPS: u32 = 17;
+    /// Active size of a new or cleared table whose capacity is larger:
+    /// 2^12 groups = 32 Ki slots, 640 KiB of keys and values, which
+    /// stays in the last-level cache. When it reaches the 3/4 load rule
+    /// (~24.6 k keys) one in-place rehash spreads it over the whole
+    /// capacity ([`spread`](Self::spread)).
+    const PREFIX_LOG2_GROUPS: u32 = 12;
     /// Occupancy tag on key words (bit 63; fingerprints fit in 53 bits).
     const TAG: u64 = 1 << 63;
     /// Most dropped tables one thread keeps for reuse: one encoder and
@@ -301,7 +320,12 @@ impl FpTable {
     /// 2^17-group clamp, 20 MiB of table per cache (8 MiB of keys and
     /// 12 MiB of values). Only the first table of a size on a thread
     /// writes all of that; later ones reuse a dropped table's arrays
-    /// (see [`with_log2_groups`](Self::with_log2_groups)).
+    /// (see [`with_log2_groups`](Self::with_log2_groups)). The size
+    /// bounds the table, not what it probes: until it holds ~24.6 k
+    /// keys a table uses only its first
+    /// 2^[`PREFIX_LOG2_GROUPS`](Self::PREFIX_LOG2_GROUPS) groups, and
+    /// then spreads over all of them at once, so a short transfer never
+    /// leaves the cache and a long one pays no doubling rehashes.
     fn for_budget(byte_budget: usize, sample_bits: u32) -> Self {
         let entries = byte_budget >> sample_bits.min(63);
         // Groups sized for a 3/4 load factor at `entries`.
@@ -311,17 +335,21 @@ impl FpTable {
         Self::with_log2_groups(log2)
     }
 
-    /// Empty table of `2^log2_groups` groups. A spare of exactly this
-    /// size dropped earlier on this thread is reused: its key array is
-    /// already zero and values under empty keys are never read, so it
-    /// behaves exactly like a fresh table and construction writes
-    /// nothing. Otherwise both arrays are allocated and written here.
+    /// Empty table with room for `2^log2_capacity` groups, of which the
+    /// first 2^[`PREFIX_LOG2_GROUPS`](Self::PREFIX_LOG2_GROUPS) (or
+    /// all, if fewer) are active. A spare of exactly this capacity dropped
+    /// earlier on this thread is reused: its key array is already zero
+    /// and values under empty keys are never read, so it behaves
+    /// exactly like a fresh table and construction writes nothing.
+    /// Otherwise both arrays are allocated and written here.
     #[allow(clippy::slow_vector_initialization)] // the "slow" path is the point: see below
-    fn with_log2_groups(log2_groups: u32) -> Self {
+    fn with_log2_groups(log2_capacity: u32) -> Self {
         let spare = SPARE_TABLES
             .try_with(|spares| {
                 let mut spares = spares.borrow_mut();
-                let i = spares.iter().position(|t| t.log2_groups == log2_groups)?;
+                let i = spares
+                    .iter()
+                    .position(|t| t.log2_capacity == log2_capacity)?;
                 Some(spares.swap_remove(i))
             })
             .ok()
@@ -329,7 +357,7 @@ impl FpTable {
         let (keys, vals) = match spare {
             Some(t) => (t.keys, t.vals),
             None => {
-                let slots = (1usize << log2_groups) * Self::GROUP;
+                let slots = (1usize << log2_capacity) * Self::GROUP;
                 // Build the key array with an explicit resize (a real
                 // memset) rather than `vec![0; n]`: the latter takes the
                 // zeroed-alloc fast path, whose pages are mapped lazily
@@ -343,16 +371,30 @@ impl FpTable {
         FpTable {
             keys,
             vals,
-            log2_groups,
+            log2_groups: Self::initial_log2_groups(log2_capacity),
+            log2_capacity,
             len: 0,
             dirty: Vec::new(),
         }
     }
 
-    /// Most groups [`dirty`](Self::dirty) records: one in eight. Past
-    /// that the epoch has written a large share of the table, so
-    /// `clear` falls back to one sequential pass over the whole key
-    /// array; the bound also keeps the record of a table that never
+    /// Active size of a new or cleared table of `2^log2_capacity`
+    /// groups: the prefix, or the whole table if it is no larger.
+    #[inline]
+    fn initial_log2_groups(log2_capacity: u32) -> u32 {
+        log2_capacity.min(Self::PREFIX_LOG2_GROUPS)
+    }
+
+    /// Slots in the active region.
+    #[inline]
+    fn active_slots(&self) -> usize {
+        (1usize << self.log2_groups) * Self::GROUP
+    }
+
+    /// Most groups [`dirty`](Self::dirty) records: one in eight of the
+    /// active region. Past that the epoch has written a large share of
+    /// it, so `clear` falls back to one sequential pass over the active
+    /// key words; the bound also keeps the record of a table that never
     /// flushes small (one word per eight groups).
     #[inline]
     fn dirty_cap(&self) -> usize {
@@ -383,31 +425,44 @@ impl FpTable {
         std::hint::black_box(self.vals[base].offset);
     }
 
+    /// Write `key` and `value` into the empty slot `i` of group `g`,
+    /// recording the group if this is its first write since the last
+    /// clear (slot 0: occupied slots are always a prefix of a group).
+    #[inline]
+    fn fill_slot(&mut self, g: usize, i: usize, key: u64, value: FpValue) {
+        if i == g * Self::GROUP && self.dirty.len() < self.dirty_cap() {
+            self.dirty.push(g);
+        }
+        self.keys[i] = key;
+        self.vals[i] = value;
+    }
+
     /// Insert or overwrite; returns `true` when the key already existed
     /// (the paper's replacement event).
     fn insert(&mut self, fp: u64, slot: SlotRef, offset: u16) -> bool {
         debug_assert_eq!(fp & Self::TAG, 0, "fingerprints are 53-bit");
-        if (self.len + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
+        if (self.len + 1) * 4 > self.active_slots() * 3 {
+            if self.log2_groups < self.log2_capacity {
+                self.spread();
+            } else {
+                self.grow();
+            }
         }
         let gmask = (1usize << self.log2_groups) - 1;
         let key = fp | Self::TAG;
+        let value = FpValue { slot, offset };
         let mut g = self.group(fp);
         loop {
             let base = g * Self::GROUP;
             for i in base..base + Self::GROUP {
                 let k = self.keys[i];
                 if k == 0 {
-                    if i == base && self.dirty.len() < self.dirty_cap() {
-                        self.dirty.push(g);
-                    }
-                    self.keys[i] = key;
-                    self.vals[i] = FpValue { slot, offset };
+                    self.fill_slot(g, i, key, value);
                     self.len += 1;
                     return false;
                 }
                 if k == key {
-                    self.vals[i] = FpValue { slot, offset };
+                    self.vals[i] = value;
                     return true;
                 }
             }
@@ -435,11 +490,63 @@ impl FpTable {
         }
     }
 
+    /// Spread a full prefix over the whole allocation, in place and in
+    /// one step. The group index is a key's high hash bits, so a key
+    /// whose prefix home is group `h` has its new home in
+    /// `h << shift .. (h + 1) << shift`: new homes run in the same order
+    /// as old ones, and at or above them. The pass walks the prefix
+    /// groups from the top down; each group is copied out and zeroed,
+    /// and its keys are placed by a forward probe from their new home.
+    /// Every group at or above the current one is already in the new
+    /// layout and every group below it is untouched, so a key whose new
+    /// home lies below the current group, or whose probe would wrap
+    /// past the last group, is set aside and inserted once the pass is
+    /// done. Those are rare: a spill longer than `2^shift` groups, or a
+    /// full run at the top of the table. The mapping is unchanged, so
+    /// no lookup can tell a spread table from one that was always this
+    /// size.
+    fn spread(&mut self) {
+        let prefix_groups = 1usize << self.log2_groups;
+        self.log2_groups = self.log2_capacity;
+        let slots = self.active_slots();
+        // The placements below rebuild the record for the new size.
+        self.dirty.clear();
+        let mut deferred = Vec::new();
+        for g in (0..prefix_groups).rev() {
+            let base = g * Self::GROUP;
+            let mut keys = [0u64; Self::GROUP];
+            keys.copy_from_slice(&self.keys[base..base + Self::GROUP]);
+            let mut vals = [FpValue::default(); Self::GROUP];
+            vals.copy_from_slice(&self.vals[base..base + Self::GROUP]);
+            self.keys[base..base + Self::GROUP].fill(0);
+            for (&key, &value) in keys.iter().zip(&vals).take_while(|(&k, _)| k != 0) {
+                // Groups are contiguous, so the first empty slot from the
+                // home group's start to the end of the table is where a
+                // forward group probe would stop.
+                let home = self.group(key & !Self::TAG);
+                let empty = (home >= g)
+                    .then(|| (home * Self::GROUP..slots).find(|&i| self.keys[i] == 0))
+                    .flatten();
+                match empty {
+                    Some(i) => self.fill_slot(i / Self::GROUP, i, key, value),
+                    None => deferred.push((key, value)),
+                }
+            }
+        }
+        self.len -= deferred.len();
+        for (key, value) in deferred {
+            self.insert(key & !Self::TAG, value.slot, value.offset);
+        }
+    }
+
+    /// Double the allocation and rehash into it: the table outgrew its
+    /// capacity (the prefix has already been spread).
     fn grow(&mut self) {
-        let slots = (1usize << (self.log2_groups + 1)) * Self::GROUP;
+        let slots = (1usize << (self.log2_capacity + 1)) * Self::GROUP;
         let old_keys = std::mem::replace(&mut self.keys, vec![0; slots]);
         let old_vals = std::mem::replace(&mut self.vals, vec![FpValue::default(); slots]);
-        self.log2_groups += 1;
+        self.log2_capacity += 1;
+        self.log2_groups = self.log2_capacity;
         self.len = 0;
         // The re-inserts below rebuild the record for the new table.
         self.dirty.clear();
@@ -466,14 +573,15 @@ impl FpTable {
         }
     }
 
-    /// Drop every entry but keep the allocation and size: the table is
-    /// pre-sized for its steady state (see [`for_budget`]
-    /// (Self::for_budget)), and a flush-heavy policy would otherwise
-    /// re-pay the growth rehashes after every flush. Only the key words
-    /// gate occupancy, so the value array need not be touched. The cost
-    /// follows the groups written since the last clear, not the table
-    /// size: only the recorded groups' key lines are zeroed, unless the
-    /// record is full. Either way the key array ends all zero.
+    /// Drop every entry but keep the allocation: the table is pre-sized
+    /// for its steady state (see [`for_budget`](Self::for_budget)), and
+    /// a flush-heavy policy would otherwise re-pay the growth rehashes
+    /// after every flush. Only the key words gate occupancy, so the
+    /// value array need not be touched. The cost follows the groups
+    /// written since the last clear, not the table size: only the
+    /// recorded groups' key lines are zeroed, unless the record is
+    /// full, and then only the active region is. Either way the key
+    /// array ends all zero, and the table returns to its prefix.
     fn clear(&mut self) {
         if self.dirty.len() < self.dirty_cap() {
             for &g in &self.dirty {
@@ -481,10 +589,12 @@ impl FpTable {
                 self.keys[base..base + Self::GROUP].fill(0);
             }
         } else {
-            self.keys.fill(0);
+            let active = self.active_slots();
+            self.keys[..active].fill(0);
         }
         self.dirty.clear();
         self.len = 0;
+        self.log2_groups = Self::initial_log2_groups(self.log2_capacity);
     }
 }
 
@@ -495,7 +605,7 @@ impl Drop for FpTable {
     /// out again, so it is freed. So is every table dropped while the
     /// thread exits, once its spares are gone.
     fn drop(&mut self) {
-        if self.log2_groups > Self::MAX_INITIAL_LOG2_GROUPS {
+        if self.log2_capacity > Self::MAX_INITIAL_LOG2_GROUPS {
             return;
         }
         let _ = SPARE_TABLES.try_with(|spares| {
@@ -503,7 +613,7 @@ impl Drop for FpTable {
             if spares.len() < Self::MAX_SPARES {
                 self.clear();
                 spares.push(SpareTable {
-                    log2_groups: self.log2_groups,
+                    log2_capacity: self.log2_capacity,
                     keys: std::mem::take(&mut self.keys),
                     vals: std::mem::take(&mut self.vals),
                 });
@@ -651,6 +761,11 @@ pub struct Cache {
     order: VecDeque<SlotRef>,
     ids: IdTable,
     fingerprints: FpTable,
+    /// Scratch for [`index_payload`](Self::index_payload): the sampled
+    /// pairs of the payload being indexed, and the kernel's lane
+    /// buffers. Capacity is kept across packets.
+    sampled: Vec<(u16, u64)>,
+    lanes: LaneScratch,
     bytes_used: usize,
     byte_budget: usize,
     max_packets: Option<usize>,
@@ -671,6 +786,8 @@ impl Cache {
             order: VecDeque::new(),
             ids: IdTable::new(),
             fingerprints: FpTable::for_budget(config.cache_bytes, config.sample_bits),
+            sampled: Vec::new(),
+            lanes: LaneScratch::default(),
             bytes_used: 0,
             byte_budget: config.cache_bytes,
             max_packets: config.max_packets,
@@ -872,11 +989,14 @@ impl Cache {
     /// Run the paper's *cache update procedure* for packet `id`: slide
     /// the window over its payload and index every sampled fingerprint.
     ///
-    /// This is the tight single-purpose indexing loop used by the
-    /// decoder (which never scans for matches) and by the encoder's
-    /// legacy two-pass mode; the encoder's fused path feeds
-    /// [`index_sampled`](Self::index_sampled) instead and skips the
-    /// re-fingerprinting entirely.
+    /// The decoder (which never scans for matches), the encoder when a
+    /// policy suppresses encoding or in the two-pass mode, and
+    /// migration import all index through here. The payload runs
+    /// through the multi-lane kernel
+    /// ([`Fingerprinter::scan_sampled_batched`]) into this cache's
+    /// scratch list, which is then inserted with the same lookahead
+    /// prefetching as [`index_sampled`](Self::index_sampled), the
+    /// encoder's path for pairs its batched scan already collected.
     ///
     /// If `id` is no longer stored — a payload larger than the cache
     /// budget is evicted by its own insert, and a peer can evict a
@@ -889,58 +1009,32 @@ impl Cache {
         sampler: &Sampler,
         id: PacketId,
     ) -> IndexOutcome {
-        let Some(index) = self.ids.get(id.0) else {
-            self.stats.index_skips += 1;
-            return IndexOutcome {
-                skipped: 1,
-                ..IndexOutcome::default()
-            };
+        let Some(slot) = self.resident_slot(id) else {
+            return self.skip_index();
         };
-        let slot = SlotRef {
-            index,
-            gen: self.slots[index as usize].gen,
-        };
-        // Split borrows: read the payload out of the arena while writing
-        // the fingerprint table — no payload copy, no allocation.
-        let (slots, fingerprints, stats) = (&self.slots, &mut self.fingerprints, &mut self.stats);
-        let payload = &slots[index as usize]
+        let payload: &[u8] = &self.slots[slot.index as usize]
             .data
             .as_ref()
             .expect("live slot")
             .stored
             .payload;
-        let mut out = IndexOutcome::default();
-        let payload: &[u8] = payload;
-        let Some(mut fp) = engine.prime(payload) else {
-            return out;
+        let mut sampled = std::mem::take(&mut self.sampled);
+        sampled.clear();
+        engine.scan_sampled_batched(payload, sampler, &mut self.lanes, |pos, fp| {
+            sampled.push((pos as u16, fp));
+        });
+        let windows = (payload.len() + 1).saturating_sub(engine.window_size()) as u64;
+        let out = IndexOutcome {
+            windows,
+            sampled: sampled.len() as u64,
+            ..self.insert_sampled(slot, &sampled)
         };
-        let w = engine.window_size();
-        let mut pos = 0usize;
-        // Iterator-driven roll: the zip carries the (outgoing, incoming)
-        // byte pairs without per-step bounds checks.
-        let mut roll_bytes = payload.iter().zip(payload[w..].iter());
-        loop {
-            if sampler.selects(fp) {
-                out.sampled += 1;
-                out.insertions += 1;
-                if fingerprints.insert(fp, slot, pos as u16) {
-                    stats.replacements += 1;
-                }
-            }
-            match roll_bytes.next() {
-                Some((&outgoing, &incoming)) => {
-                    fp = engine.roll(fp, outgoing, incoming);
-                    pos += 1;
-                }
-                None => break,
-            }
-        }
-        out.windows = (payload.len() - w + 1) as u64;
+        self.sampled = sampled;
         out
     }
 
     /// Index packet `id` from fingerprints already sampled by the
-    /// encoder's fused scan: insert each `(offset, fingerprint)` pair,
+    /// encoder's batched scan: insert each `(offset, fingerprint)` pair,
     /// in order, under the packet's slot. Produces exactly the
     /// fingerprint-table state [`index_payload`](Self::index_payload)
     /// would — the pairs are the sampled windows of the payload in
@@ -950,22 +1044,41 @@ impl Cache {
     /// (Self::index_payload)), the pass is skipped and counted rather
     /// than aborting the shard.
     pub fn index_sampled(&mut self, id: PacketId, sampled: &[(u16, u64)]) -> IndexOutcome {
-        let Some(index) = self.ids.get(id.0) else {
-            self.stats.index_skips += 1;
-            return IndexOutcome {
-                skipped: 1,
-                ..IndexOutcome::default()
-            };
-        };
-        let slot = SlotRef {
+        match self.resident_slot(id) {
+            Some(slot) => self.insert_sampled(slot, sampled),
+            None => self.skip_index(),
+        }
+    }
+
+    /// The slot handle of packet `id`, if it is still stored.
+    fn resident_slot(&self, id: PacketId) -> Option<SlotRef> {
+        let index = self.ids.get(id.0)?;
+        Some(SlotRef {
             index,
             gen: self.slots[index as usize].gen,
-        };
-        // Insert with the same lookahead prefetching as the batched
-        // scan's probe loop: the candidates are random fingerprints, so
-        // nearly every insert opens a cold group in a larger-than-LLC
-        // table unless its lines are already in flight.
-        const AHEAD: usize = 8;
+        })
+    }
+
+    /// Count an indexing pass skipped because its packet is gone.
+    fn skip_index(&mut self) -> IndexOutcome {
+        self.stats.index_skips += 1;
+        IndexOutcome {
+            skipped: 1,
+            ..IndexOutcome::default()
+        }
+    }
+
+    /// Insert sampled `(offset, fingerprint)` pairs under `slot`, in
+    /// order.
+    fn insert_sampled(&mut self, slot: SlotRef, sampled: &[(u16, u64)]) -> IndexOutcome {
+        // Insert with lookahead prefetching, as the batched scan's
+        // probe loop does: the candidates are random fingerprints, so
+        // nearly every insert opens a cold group unless its lines are
+        // already in flight. Inserts do less work per candidate than
+        // probes, so the distance is twice the scan's (8 and 32 were
+        // measured too: neither was faster on both gateway replay and
+        // lossy transfers).
+        const AHEAD: usize = 16;
         for &(_, fp) in sampled.iter().take(AHEAD) {
             self.fingerprints.prefetch(fp);
         }
@@ -1510,7 +1623,7 @@ mod tests {
             for &fp in &phase_keys {
                 assert!(t.get(fp).is_none(), "fp {fp:#x} survived the clear");
             }
-            fresh = FpTable::with_log2_groups(t.log2_groups);
+            fresh = FpTable::with_log2_groups(t.log2_capacity);
         }
         assert!(partial > 0, "no partial clear ran");
         assert!(fallback > 0, "no whole-array clear ran");
@@ -1524,7 +1637,7 @@ mod tests {
     }
 
     fn spare_sizes() -> Vec<u32> {
-        SPARE_TABLES.with(|s| s.borrow().iter().map(|t| t.log2_groups).collect())
+        SPARE_TABLES.with(|s| s.borrow().iter().map(|t| t.log2_capacity).collect())
     }
 
     #[test]
@@ -1619,6 +1732,250 @@ mod tests {
             SPARES_GONE.load(Ordering::SeqCst),
             "the table was dropped before the spare stock was destroyed"
         );
+    }
+
+    #[test]
+    fn fp_table_prefix_spreads_in_one_jump_and_matches_model() {
+        // Capacity one doubling above the prefix, so the jump doubles
+        // the active size and every prefix group splits in two.
+        const LOG2: u32 = FpTable::PREFIX_LOG2_GROUPS + 1;
+        const GROUP: usize = FpTable::GROUP;
+        type Model = HashMap<u64, (SlotRef, u16)>;
+        let mut state = 0x00C0_FFEE_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mask = (1u64 << 53) - 1;
+        let insert = |t: &mut FpTable, model: &mut Model, fp: u64, v: u64| {
+            let slot = SlotRef {
+                index: v as u32,
+                gen: (v >> 32) as u32,
+            };
+            let offset = (v >> 16) as u16;
+            let existed = model.insert(fp, (slot, offset)).is_some();
+            assert_eq!(t.insert(fp, slot, offset), existed, "fp {fp:#x}");
+        };
+        let check = |t: &FpTable, model: &Model, step: &str| {
+            assert_eq!(t.len, model.len(), "{step}");
+            for (&fp, &v) in model {
+                assert_eq!(t.get(fp), Some(v), "{step}: fp {fp:#x}");
+            }
+            assert!(
+                t.keys[t.active_slots()..].iter().all(|&k| k == 0),
+                "{step}: a key outside the active region"
+            );
+        };
+        let slot_of = |t: &FpTable, fp: u64| t.keys.iter().position(|&k| k == fp | FpTable::TAG);
+        // Keys whose home at full size is the last group, which makes
+        // the last prefix group their home in the prefix as well.
+        let last = (1u64 << LOG2) - 1;
+        let mut top = Vec::new();
+        while top.len() < GROUP + 2 {
+            let fp = next() & mask;
+            if fp.wrapping_mul(FIB) >> (64 - LOG2) == last {
+                top.push(fp);
+            }
+        }
+        on_new_thread(move || {
+            let mut t = FpTable::with_log2_groups(LOG2);
+            let mut model = Model::new();
+            assert_eq!(t.log2_groups, FpTable::PREFIX_LOG2_GROUPS);
+            check(&t, &model, "new");
+
+            // 1. Fill the prefix to the load rule, the top keys first:
+            // eight fill the last prefix group and two spill past it,
+            // wrapping into group 0.
+            for &fp in &top {
+                let v = next();
+                insert(&mut t, &mut model, fp, v);
+            }
+            for &fp in &top[GROUP..] {
+                assert!(slot_of(&t, fp).unwrap() < GROUP, "top key did not wrap");
+            }
+            let full = t.active_slots() * 3 / 4;
+            let mut recent = Vec::new();
+            while t.len < full {
+                let fp = match next() % 8 {
+                    0 if !recent.is_empty() => recent[(next() % recent.len() as u64) as usize],
+                    _ => next() & mask,
+                };
+                recent.push(fp);
+                let v = next();
+                insert(&mut t, &mut model, fp, v);
+            }
+            assert_eq!(t.log2_groups, FpTable::PREFIX_LOG2_GROUPS);
+            check(&t, &model, "prefix full");
+
+            // 2. The next new key spreads the prefix over the whole
+            // table. The top keys' new home is the last group, which the
+            // eight from the last prefix group fill first; the two from
+            // group 0 come last, find it full, and are deferred: they
+            // wrap to the start of the table.
+            let (fp, v) = (next() & mask, next());
+            insert(&mut t, &mut model, fp, v);
+            assert_eq!(t.log2_groups, LOG2);
+            check(&t, &model, "after the jump");
+            for &fp in &top[..GROUP] {
+                assert_eq!(slot_of(&t, fp).unwrap() / GROUP, last as usize);
+            }
+            for &fp in &top[GROUP..] {
+                let slot = slot_of(&t, fp).unwrap();
+                assert!(slot < t.active_slots() / 2, "deferred key at slot {slot}");
+            }
+
+            // 3. Inserts after the jump, some of them overwrites.
+            for _ in 0..5000 {
+                let fp = match next() % 8 {
+                    0 => recent[(next() % recent.len() as u64) as usize],
+                    _ => next() & mask,
+                };
+                let v = next();
+                insert(&mut t, &mut model, fp, v);
+            }
+            assert_eq!(t.log2_groups, LOG2);
+            check(&t, &model, "after the jump, inserts");
+
+            // 4. A clear empties the whole table and returns it to the
+            // prefix, which then works like a new table's.
+            t.clear();
+            model.clear();
+            assert_eq!(t.log2_groups, FpTable::PREFIX_LOG2_GROUPS);
+            assert!(t.keys.iter().all(|&k| k == 0), "stale keys after clear");
+            check(&t, &model, "cleared");
+            for _ in 0..2000 {
+                let (fp, v) = (next() & mask, next());
+                insert(&mut t, &mut model, fp, v);
+            }
+            check(&t, &model, "cleared, inserts");
+
+            // 5. Drop, and rebuild from the spare.
+            let keys = t.keys.as_ptr();
+            drop(t);
+            let mut t = FpTable::with_log2_groups(LOG2);
+            assert_eq!(t.keys.as_ptr(), keys, "allocation not reused");
+            assert_eq!(t.log2_groups, FpTable::PREFIX_LOG2_GROUPS);
+            assert!(t.keys.iter().all(|&k| k == 0), "stale keys in the spare");
+            model.clear();
+            check(&t, &model, "rebuilt");
+            for _ in 0..2000 {
+                let (fp, v) = (next() & mask, next());
+                insert(&mut t, &mut model, fp, v);
+            }
+            check(&t, &model, "rebuilt, inserts");
+        });
+    }
+
+    /// The scalar indexing loop [`Cache::index_payload`] used before it
+    /// went through the multi-lane kernel, kept as the reference it is
+    /// tested against: one rolling chain, inserting each sampled window
+    /// as it is reached.
+    fn index_payload_reference(
+        c: &mut Cache,
+        engine: &Fingerprinter,
+        sampler: &Sampler,
+        id: PacketId,
+    ) -> IndexOutcome {
+        let Some(slot) = c.resident_slot(id) else {
+            return c.skip_index();
+        };
+        let payload = c.slots[slot.index as usize]
+            .data
+            .as_ref()
+            .expect("live slot")
+            .stored
+            .payload
+            .clone();
+        let mut out = IndexOutcome::default();
+        let Some(mut fp) = engine.prime(&payload) else {
+            return out;
+        };
+        let w = engine.window_size();
+        let mut pos = 0usize;
+        let mut roll_bytes = payload.iter().zip(payload[w..].iter());
+        loop {
+            if sampler.selects(fp) {
+                out.sampled += 1;
+                out.insertions += 1;
+                if c.fingerprints.insert(fp, slot, pos as u16) {
+                    c.stats.replacements += 1;
+                }
+            }
+            match roll_bytes.next() {
+                Some((&outgoing, &incoming)) => {
+                    fp = engine.roll(fp, outgoing, incoming);
+                    pos += 1;
+                }
+                None => break,
+            }
+        }
+        out.windows = (payload.len() - w + 1) as u64;
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// `index_payload` (multi-lane kernel, then prefetched inserts)
+        /// and the scalar reference agree on every payload length from
+        /// 0 to 600, across windows whose `8 × window` kernel cut-over
+        /// falls inside that range: the same `IndexOutcome`, the same
+        /// replacement count, and the same lookup result for every
+        /// sampled window. Small alphabets make windows repeat, so
+        /// replacements happen; every 50th length also indexes a packet
+        /// that is not stored.
+        #[test]
+        fn index_payload_matches_scalar_reference(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 600..=600),
+            window in 4usize..=64,
+            sample_bits in 0u32..=5,
+            alphabet in 2u16..=256,
+            poly_seed in 0u64..4,
+        ) {
+            let data: Bytes = bytes
+                .iter()
+                .map(|&b| (u16::from(b) % alphabet) as u8)
+                .collect::<Vec<u8>>()
+                .into();
+            let config = DreConfig {
+                window,
+                sample_bits,
+                cache_bytes: 1 << 20,
+                polynomial_seed: poly_seed,
+                ..DreConfig::default()
+            };
+            let engine = Fingerprinter::new(Polynomial::generate(poly_seed), window);
+            let sampler = Sampler::new(sample_bits);
+            let mut a = Cache::new(&config);
+            let mut b = Cache::new(&config);
+            for len in 0..=600usize {
+                let payload = data.slice(..len);
+                let ida = a.insert(payload.clone(), flow(), SeqNum::new(0));
+                let idb = b.insert(payload.clone(), flow(), SeqNum::new(0));
+                proptest::prop_assert_eq!(ida, idb);
+                let got = a.index_payload(&engine, &sampler, ida);
+                let want = index_payload_reference(&mut b, &engine, &sampler, idb);
+                proptest::prop_assert_eq!(got, want, "len {}", len);
+                proptest::prop_assert_eq!(a.stats(), b.stats(), "len {}", len);
+                for (_, fp) in engine.windows(&payload).filter(|&(_, fp)| sampler.selects(fp)) {
+                    let la = a.lookup(fp).map(|(id, off, _)| (id, off));
+                    let lb = b.lookup(fp).map(|(id, off, _)| (id, off));
+                    proptest::prop_assert!(la.is_some(), "len {}: fp {:#x} not indexed", len, fp);
+                    proptest::prop_assert_eq!(la, lb, "len {}: fp {:#x}", len, fp);
+                }
+                if len % 50 == 0 {
+                    let gone = PacketId(u64::MAX);
+                    let got = a.index_payload(&engine, &sampler, gone);
+                    let want = index_payload_reference(&mut b, &engine, &sampler, gone);
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(got.skipped, 1);
+                }
+            }
+            proptest::prop_assert_eq!(a.fingerprints.len, b.fingerprints.len);
+        }
     }
 
     proptest::proptest! {
